@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification (see ROADMAP.md): default build + full ctest,
+# Tier-1 verification (see ROADMAP.md): default build with warnings as
+# errors (GEMREC_WERROR) + full ctest,
 # then a ThreadSanitizer pass over the concurrency-bearing suites
 # (thread pool / hogwild trainer / adaptive sampler / TA search /
 # serving engine snapshot-swap stress / ingestion write path / network
@@ -53,8 +54,8 @@ for arg in "$@"; do
   esac
 done
 
-echo "== tier-1: default build + full test suite =="
-cmake -B build -S . >/dev/null
+echo "== tier-1: default build (-Werror) + full test suite =="
+cmake -B build -S . -DGEMREC_WERROR=ON >/dev/null
 cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j "$(nproc)")
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -155,15 +154,16 @@ void BatchTaSearch::SearchChunk(const BatchQuery* queries, size_t count,
     }
   }
 
-  // --- Stage 2: per-query lazy A/B list orders. O(groups) heapify
-  // now; the walk pops the next-best group only when it reaches it. A
-  // full sort would order thousands of partner groups per query when
-  // the threshold typically fires after a few dozen prefix positions.
+  // --- Stage 2: per-query list orders. One pass per list selects the
+  // best ListOrder::kPrefix groups; only a walk that reads past them
+  // heapifies the whole list. Ordering every partner group would cost
+  // far more than the few dozen positions the threshold needs.
+  ws->event_orders.resize(kMaxChunk);
+  ws->partner_orders.resize(kMaxChunk);
   for (size_t q = 0; q < count; ++q) {
-    uint64_t* ek = event_keys + q * num_events;
-    std::make_heap(ek, ek + num_events);
-    uint64_t* pk = partner_keys + q * num_partners;
-    std::make_heap(pk, pk + num_partners);
+    ws->event_orders[q].Reset(event_keys + q * num_events, num_events);
+    ws->partner_orders[q].Reset(partner_keys + q * num_partners,
+                                num_partners);
   }
 
   // --- Stage 3: round-robin widened-threshold TA walk. ---
@@ -211,26 +211,8 @@ void BatchTaSearch::SearchChunk(const BatchQuery* queries, size_t count,
       if (cur.done) continue;
       const float* ec = event_comp + q * num_events;
       const float* pc = partner_comp + q * num_partners;
-      uint64_t* ek = event_keys + q * num_events;
-      uint64_t* pk = partner_keys + q * num_partners;
-      // i-th best group of a lazily popped list: pop_heap moves each
-      // successive max to the array's back, so the descending prefix
-      // is read back-to-front. Amortized O(log groups) per new
-      // position, free for positions already popped.
-      const auto nth_event = [&](size_t i) {
-        while (cur.a_filled <= i) {
-          std::pop_heap(ek, ek + num_events - cur.a_filled);
-          ++cur.a_filled;
-        }
-        return static_cast<uint32_t>(ek[num_events - 1 - i]);
-      };
-      const auto nth_partner = [&](size_t i) {
-        while (cur.b_filled <= i) {
-          std::pop_heap(pk, pk + num_partners - cur.b_filled);
-          ++cur.b_filled;
-        }
-        return static_cast<uint32_t>(pk[num_partners - 1 - i]);
-      };
+      ListOrder& event_order = ws->event_orders[q];
+      ListOrder& partner_order = ws->partner_orders[q];
       TopK<uint32_t>& heap = ws->heaps[q];
       std::vector<uint32_t>& examined = ws->examined[q];
       const ebsn::UserId exclude = queries[q].exclude_partner;
@@ -255,8 +237,10 @@ void BatchTaSearch::SearchChunk(const BatchQuery* queries, size_t count,
         const bool a_live = cur.a_group < num_events;
         const bool b_live = cur.b_group < num_partners;
         const bool c_live = cur.c_cursor < num_points;
-        const float ha = a_live ? ec[nth_event(cur.a_group)] : 0.0f;
-        const float hb = b_live ? pc[nth_partner(cur.b_group)] : 0.0f;
+        const float ha =
+            a_live ? ec[event_order.Group(cur.a_group)] : 0.0f;
+        const float hb =
+            b_live ? pc[partner_order.Group(cur.b_group)] : 0.0f;
         const float hc =
             c_live ? cur.c_weight * c_sorted_values[cur.c_cursor] : 0.0f;
         // Widened stop: only when the n-th best *approximate* score
@@ -277,14 +261,15 @@ void BatchTaSearch::SearchChunk(const BatchQuery* queries, size_t count,
         ++sorted_accesses;
         ++cur.sorted_accesses;
         if (a_live && ha >= hb && ha >= hc) {
-          const auto& pairs = event_pairs[nth_event(cur.a_group)];
+          const auto& pairs = event_pairs[event_order.Group(cur.a_group)];
           examine(pairs[cur.a_offset]);
           if (++cur.a_offset >= pairs.size()) {
             cur.a_offset = 0;
             ++cur.a_group;
           }
         } else if (b_live && hb >= hc) {
-          const auto& pairs = partner_pairs[nth_partner(cur.b_group)];
+          const auto& pairs =
+              partner_pairs[partner_order.Group(cur.b_group)];
           examine(pairs[cur.b_offset]);
           if (++cur.b_offset >= pairs.size()) {
             cur.b_offset = 0;
@@ -294,14 +279,15 @@ void BatchTaSearch::SearchChunk(const BatchQuery* queries, size_t count,
           examine(c_sorted[cur.c_cursor]);
           ++cur.c_cursor;
         } else if (a_live) {
-          const auto& pairs = event_pairs[nth_event(cur.a_group)];
+          const auto& pairs = event_pairs[event_order.Group(cur.a_group)];
           examine(pairs[cur.a_offset]);
           if (++cur.a_offset >= pairs.size()) {
             cur.a_offset = 0;
             ++cur.a_group;
           }
         } else {
-          const auto& pairs = partner_pairs[nth_partner(cur.b_group)];
+          const auto& pairs =
+              partner_pairs[partner_order.Group(cur.b_group)];
           examine(pairs[cur.b_offset]);
           if (++cur.b_offset >= pairs.size()) {
             cur.b_offset = 0;
@@ -334,6 +320,8 @@ void BatchTaSearch::SearchChunk(const BatchQuery* queries, size_t count,
           SearchStats& qs = per_query_stats[q];
           qs.points_examined = cur.examined;
           qs.sorted_accesses = cur.sorted_accesses;
+          qs.ta_depth = std::min(cur.a_group + 1, num_events) +
+                        std::min(cur.b_group + 1, num_partners);
           qs.examined_fraction =
               static_cast<double>(cur.examined) /
               static_cast<double>(num_points);

@@ -6,6 +6,7 @@
 
 #include "common/top_k.h"
 #include "ebsn/types.h"
+#include "recommend/list_order.h"
 #include "recommend/quantized_space.h"
 #include "recommend/space_index.h"
 #include "recommend/ta_search.h"
@@ -31,7 +32,8 @@ struct BatchSearchStats {
   /// points_examined / (num_points * batch size).
   double examined_fraction = 0.0;
   /// Time in the quantized stage: query quantization, batched
-  /// component dot products, per-query list heapify, and the TA walk.
+  /// component dot products, per-query prefix selection, and the TA
+  /// walk.
   uint64_t quantize_scan_us = 0;
   /// Time re-scoring survivors in exact fp32.
   uint64_t rerank_us = 0;
@@ -48,13 +50,13 @@ struct BatchSearchStats {
 ///      for the whole batch instead of once per query. Components are
 ///      integer dot products (DotQ8/DotQ16, AVX2-dispatched) scaled
 ///      back to fp32.
-///   2. Per-query lazy list orders: the A and B group lists are NOT
-///      fully sorted. Each query max-heapifies packed
-///      (integer-dot << 32 | group) keys — O(groups), branch-cheap
-///      uint64 compares — and the walk pops the next-best group on
-///      demand. TA consumes only a short sorted prefix before its
-///      threshold fires, so full introsorts (the dominant per-query
-///      cost at thousands of partner groups) would be ~95% wasted work.
+///   2. Per-query streaming list orders: the A and B group lists are
+///      NOT sorted. One pass over each query's packed
+///      (integer-dot << 32 | group) keys keeps the best
+///      ListOrder::kPrefix groups in a small min-heap and sorts them;
+///      TA usually stops inside that prefix. Only a walk that reads
+///      past it max-heapifies the whole key array and pops on demand.
+///      Keys are unique, so the walk sees the same order either way.
 ///   3. Round-robin TA walk: each live query advances its best list a
 ///      fixed quantum, then yields; queries retire as they stop. The
 ///      visited set is one generation-stamped uint64 bitmask shared by
@@ -86,7 +88,6 @@ class BatchTaSearch {
     friend class BatchTaSearch;
     struct Cursor {
       size_t a_group, a_offset, b_group, b_offset, c_cursor;
-      size_t a_filled, b_filled;  // sorted-prefix length popped so far
       size_t want;
       size_t examined, sorted_accesses;  // this query's own counts
       float epsilon2;  // 2 * epsilon, the threshold widening
@@ -100,9 +101,9 @@ class BatchTaSearch {
     std::vector<int16_t> event_q16, partner_q16;   // query codes, int16 mode
     std::vector<QuantizedSpace::QuantizedQuery> qq;
     std::vector<float> event_comp, partner_comp;   // [query][group]
-    /// Per-query (dot << 32 | group) keys: a max-heap in the front,
-    /// the popped descending prefix growing from the back.
+    /// Per-query (dot << 32 | group) keys and their list orders.
     std::vector<uint64_t> event_keys, partner_keys;
+    std::vector<ListOrder> event_orders, partner_orders;
     std::vector<uint32_t> seen_gen;
     std::vector<uint64_t> seen_bits;
     uint32_t generation = 0;

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/logging.h"
+#include "common/vec_math.h"
 
 namespace gemrec::recommend {
 namespace {
@@ -107,17 +108,6 @@ float GroupEventScore(const GemModel& model, ebsn::UserId user,
   return worst;
 }
 
-void ReciprocalQueryVector(const GemModel& model, ebsn::UserId u,
-                           size_t point_dim, std::vector<float>* out) {
-  const uint32_t k = model.dim();
-  GEMREC_CHECK(point_dim == 2 * static_cast<size_t>(k) + 1);
-  out->resize(point_dim);
-  const float* uv = model.UserVec(u);
-  std::copy(uv, uv + k, out->data());
-  std::copy(uv, uv + k, out->data() + k);
-  (*out)[2 * k] = 0.0f;
-}
-
 bool RecommendationOrder(const Recommendation& a, const Recommendation& b) {
   if (a.score != b.score) return a.score > b.score;
   if (a.event != b.event) return a.event < b.event;
@@ -157,56 +147,143 @@ std::vector<Recommendation> ReciprocalSearch(
     const TransformedSpace& space, ebsn::UserId user, size_t n,
     ReciprocalScratch* scratch, float* bound_out, SearchStats* stats_out) {
   GEMREC_CHECK(scratch != nullptr);
-  std::vector<Recommendation> result;
-  if (n == 0 || space.num_points() == 0) {
+  const SpaceIndex& index = searcher.index();
+  GEMREC_CHECK(&index.space() == &space)
+      << "searcher indexes a different space";
+  SearchStats stats;
+  const size_t num_points = space.num_points();
+  const size_t want =
+      num_points == 0 ? 0 : std::min(n, index.ResultsPossible(user));
+  if (want == 0) {
     if (bound_out != nullptr) *bound_out = kNegInf;
-    if (stats_out != nullptr) *stats_out = SearchStats{};
-    return result;
+    if (stats_out != nullptr) *stats_out = stats;
+    return {};
   }
-  ReciprocalQueryVector(model, user, space.point_dim(), &scratch->query);
 
-  SearchStats cumulative;
-  size_t m = std::max<size_t>(4 * n, 64);
-  while (true) {
-    SearchStats fwd_stats;
-    searcher.SearchInto(scratch->query, m, /*exclude_partner=*/user,
-                        &scratch->hits, &fwd_stats, &scratch->ta);
-    cumulative.points_examined += fwd_stats.points_examined;
-    cumulative.sorted_accesses += fwd_stats.sorted_accesses;
-    cumulative.examined_fraction = fwd_stats.examined_fraction;
-
-    std::vector<Recommendation>& rescored = scratch->rescored;
-    rescored.clear();
-    rescored.reserve(scratch->hits.size());
-    for (const SearchHit& hit : scratch->hits) {
-      rescored.push_back(Recommendation{
-          hit.pair.event, hit.pair.partner,
-          ReciprocalScore(model, user, hit.pair.partner, hit.pair.event)});
-    }
-    std::sort(rescored.begin(), rescored.end(), RecommendationOrder);
-
-    // Fewer hits than requested means the forward search enumerated
-    // every non-excluded pair; nothing is unexamined.
-    const bool exhausted = scratch->hits.size() < m;
-    const float fwd_bound = fwd_stats.unreturned_bound;
-    const float nth =
-        rescored.size() >= n ? rescored[n - 1].score : kNegInf;
-    // Unexamined pairs satisfy r <= d_forward <= fwd_bound, so a
-    // strictly larger n-th reciprocal score certifies the top n.
-    if (exhausted || (rescored.size() >= n && nth > fwd_bound)) {
-      const float dropped =
-          rescored.size() > n ? rescored[n].score : kNegInf;
-      const float bound =
-          exhausted ? dropped : std::max(dropped, fwd_bound);
-      rescored.resize(std::min(rescored.size(), n));
-      result = rescored;
-      cumulative.unreturned_bound = bound;
-      if (bound_out != nullptr) *bound_out = bound;
-      if (stats_out != nullptr) *stats_out = cumulative;
-      return result;
-    }
-    m *= 2;
+  // A and B per group, read from the model's contiguous rows. The
+  // packed words order each list for ListOrder.
+  const uint32_t k = model.dim();
+  const float* uv = model.UserVec(user);
+  const size_t num_events = index.num_events();
+  const size_t num_partners = index.num_partners();
+  scratch->event_comp.resize(num_events);
+  scratch->event_keys.resize(num_events);
+  scratch->partner_comp.resize(num_partners);
+  scratch->partner_keys.resize(num_partners);
+  float* event_comp = scratch->event_comp.data();
+  float* partner_comp = scratch->partner_comp.data();
+  for (size_t e = 0; e < num_events; ++e) {
+    event_comp[e] = Dot(uv, model.EventVec(index.events()[e]), k);
+    scratch->event_keys[e] =
+        (uint64_t{FloatOrderKey(event_comp[e])} << 32) | e;
   }
+  for (size_t p = 0; p < num_partners; ++p) {
+    partner_comp[p] = Dot(uv, model.UserVec(index.partners()[p]), k);
+    scratch->partner_keys[p] =
+        (uint64_t{FloatOrderKey(partner_comp[p])} << 32) | p;
+  }
+  ListOrder& event_order = scratch->event_order;
+  ListOrder& partner_order = scratch->partner_order;
+  event_order.Reset(scratch->event_keys.data(), num_events);
+  partner_order.Reset(scratch->partner_keys.data(), num_partners);
+
+  if (scratch->seen_gen.size() < num_points) {
+    scratch->seen_gen.assign(num_points, 0);
+    scratch->generation = 0;
+  }
+  if (++scratch->generation == 0) {  // wrapped: hard reset
+    std::fill(scratch->seen_gen.begin(), scratch->seen_gen.end(), 0u);
+    scratch->generation = 1;
+  }
+  const uint32_t generation = scratch->generation;
+  uint32_t* seen = scratch->seen_gen.data();
+
+  const auto& event_pairs = index.event_pairs();
+  const auto& partner_pairs = index.partner_pairs();
+  const uint32_t* pair_event_idx = index.pair_event_idx().data();
+  const uint32_t* pair_partner_idx = index.pair_partner_idx().data();
+  const uint32_t* c_sorted = index.c_sorted().data();
+  const uint32_t c_dim = 2 * k;
+  const auto c_of = [&](uint32_t id) { return space.Point(id)[c_dim]; };
+
+  std::vector<Recommendation>& top = scratch->top;
+  top.clear();
+  float dropped = kNegInf;  // best examined score left out of `top`
+  const auto examine = [&](uint32_t id) {
+    if (seen[id] == generation) return;
+    seen[id] = generation;
+    ++stats.points_examined;
+    const CandidatePair& pair = space.pair(id);
+    if (pair.partner == user) return;
+    const float b = partner_comp[pair_partner_idx[id]];
+    // min(d(u -> u'), d(u' -> u)) in ReciprocalScore's operand order.
+    const Recommendation cand{
+        pair.event, pair.partner,
+        std::min(event_comp[pair_event_idx[id]] + b, c_of(id) + b)};
+    if (top.size() < n) {
+      top.push_back(cand);
+      std::push_heap(top.begin(), top.end(), RecommendationOrder);
+    } else if (RecommendationOrder(cand, top.front())) {
+      dropped = std::max(dropped, top.front().score);
+      std::pop_heap(top.begin(), top.end(), RecommendationOrder);
+      top.back() = cand;
+      std::push_heap(top.begin(), top.end(), RecommendationOrder);
+    } else {
+      dropped = std::max(dropped, cand.score);
+    }
+  };
+
+  size_t a_group = 0, a_offset = 0;  // position in event_order
+  size_t b_group = 0, b_offset = 0;  // position in partner_order
+  size_t c_cursor = 0;               // position in c_sorted
+  float stop_bound = kNegInf;
+  // Every list enumerates every pair, so once any list runs out the
+  // whole space has been examined.
+  while (a_group < num_events && b_group < num_partners &&
+         c_cursor < num_points) {
+    const uint32_t a_idx = event_order.Group(a_group);
+    const uint32_t b_idx = partner_order.Group(b_group);
+    const float ha = event_comp[a_idx];
+    const float hb = partner_comp[b_idx];
+    const float hc = c_of(c_sorted[c_cursor]);
+    const float threshold = std::min(ha + hb, hc + hb);
+    if (top.size() >= n && top.front().score > threshold) {
+      stop_bound = threshold;
+      break;
+    }
+    ++stats.sorted_accesses;
+    // Best-first among the lists that can lower the threshold: B, and
+    // whichever of A and C the min currently binds on.
+    if (hb >= std::min(ha, hc)) {
+      const auto& pairs = partner_pairs[b_idx];
+      examine(pairs[b_offset]);
+      if (++b_offset >= pairs.size()) {
+        b_offset = 0;
+        ++b_group;
+      }
+    } else if (ha <= hc) {
+      const auto& pairs = event_pairs[a_idx];
+      examine(pairs[a_offset]);
+      if (++a_offset >= pairs.size()) {
+        a_offset = 0;
+        ++a_group;
+      }
+    } else {
+      examine(c_sorted[c_cursor]);
+      ++c_cursor;
+    }
+  }
+
+  const float bound = std::max(dropped, stop_bound);
+  std::sort(top.begin(), top.end(), RecommendationOrder);
+  stats.unreturned_bound = bound;
+  stats.ta_depth = std::min(a_group + 1, num_events) +
+                   std::min(b_group + 1, num_partners);
+  stats.examined_fraction = static_cast<double>(stats.points_examined) /
+                            static_cast<double>(num_points);
+  if (bound_out != nullptr) *bound_out = bound;
+  if (stats_out != nullptr) *stats_out = stats;
+  return std::vector<Recommendation>(top.begin(), top.end());
 }
 
 }  // namespace gemrec::recommend

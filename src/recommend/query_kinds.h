@@ -7,6 +7,7 @@
 
 #include "ebsn/types.h"
 #include "recommend/gem_model.h"
+#include "recommend/list_order.h"
 #include "recommend/recommender.h"
 #include "recommend/space_transform.h"
 #include "recommend/ta_search.h"
@@ -50,11 +51,7 @@ float PairwiseScore(const GemModel& model, ebsn::UserId user,
                     ebsn::UserId partner, ebsn::EventId event);
 
 /// Directed score d(viewer -> peer, event) = viewer·event +
-/// viewer·peer: the two Eqn 8 terms that involve the viewer. Equals
-/// q·p over the transformed space for the query (viewer, viewer, 0) —
-/// bitwise, because TA assembles q·p as Dot(q, p, K) +
-/// Dot(q + K, p + K, K) + 0·C and the space stores verbatim embedding
-/// rows.
+/// viewer·peer: the two Eqn 8 terms that involve the viewer.
 float DirectedScore(const GemModel& model, ebsn::UserId viewer,
                     ebsn::UserId peer, ebsn::EventId event);
 
@@ -69,14 +66,6 @@ float ReciprocalScore(const GemModel& model, ebsn::UserId user,
 float GroupEventScore(const GemModel& model, ebsn::UserId user,
                       const std::vector<ebsn::UserId>& members,
                       ebsn::EventId event, GroupAggregator agg);
-
-/// Fills the forward directed-retrieval query (u, u, 0): zeroing the
-/// C coordinate drops the peer's own event-interest term, turning the
-/// stock TA/batch engines into exact d(u -> ·, ·) retrievers. All
-/// coordinates stay nonnegative (rectified embeddings), so the TA
-/// bound argument is unchanged.
-void ReciprocalQueryVector(const GemModel& model, ebsn::UserId u,
-                           size_t point_dim, std::vector<float>* out);
 
 /// Canonical result order shared by the oracles, the serve paths and
 /// the shard merger: score descending, ties by (event, partner)
@@ -102,37 +91,51 @@ std::vector<Recommendation> ReciprocalTopPairs(
     const GemModel& model, const TransformedSpace& space, ebsn::UserId user,
     size_t n, float* bound_out = nullptr);
 
-/// Reusable buffers for ReciprocalSearch (allocation-free steady
-/// state, like TaSearch::Scratch).
+/// Reusable buffers for ReciprocalSearch. A default-constructed scratch
+/// grows to the space on its first query and keeps its storage, so a
+/// warm call allocates only the vector it returns.
 struct ReciprocalScratch {
-  TaSearch::Scratch ta;
-  std::vector<float> query;
-  std::vector<SearchHit> hits;
-  std::vector<Recommendation> rescored;
+  /// Per-group components A = u·x (events) and B = u·u' (partners),
+  /// their packed (FloatOrderKey << 32 | group) words, and the
+  /// streaming list orders over those words.
+  std::vector<float> event_comp, partner_comp;
+  std::vector<uint64_t> event_keys, partner_keys;
+  ListOrder event_order, partner_order;
+  /// seen_gen[i] == generation marks pair i as examined this query.
+  std::vector<uint32_t> seen_gen;
+  uint32_t generation = 0;
+  /// The n best examined pairs, a heap whose front is the worst under
+  /// RecommendationOrder.
+  std::vector<Recommendation> top;
 };
 
-/// Certified reciprocal top-n via iterative deepening over the exact
-/// TA engine:
+/// Exact reciprocal top-n in one TA pass. Over the transformed space,
 ///
-///   m = max(4n, 64); forward-search top-m with query (u, u, 0);
-///   rescore every hit with the exact reciprocal min; keep the top n
-///   under RecommendationOrder; stop when the n-th reciprocal score
-///   strictly exceeds the forward search's unreturned bound (no
-///   unexamined pair can reach the top n, since r <= d_forward), or
-///   the space is exhausted; else double m.
+///   r(u, u', x) = B + min(A, C),  A = u·x, B = u·u', C = u'·x,
 ///
-/// Termination: m doubles past the space size, at which point the
-/// forward search exhausts and the ranking is exact by enumeration.
+/// which is monotone in each component, so Fagin's TA is exact for it.
+/// The walk reads three descending lists: event groups by A and
+/// partner groups by B (components from the model's contiguous rows,
+/// ordered through ListOrder), and pairs by the stored C coordinate
+/// (the index's c_sorted order). Every examined pair scores
+/// min(A + B, C + B), bitwise ReciprocalScore: Dot is symmetric, so
+/// C + B is the reverse directed score. No unexamined pair can beat
+/// the threshold min(ha + hb, hc + hb) over the list heads (float
+/// rounding is monotone), and the walk stops once the n-th best score
+/// is strictly above it, so ties at the cut resolve exactly as the
+/// oracle resolves them.
 ///
-/// `bound_out` receives max(best dropped reciprocal score, forward
-/// unreturned bound at the stopping m) — a sound upper bound on every
-/// unreturned pair's reciprocal score, and never above the n-th
-/// returned score (so the shard merger's completeness certificate
-/// kth >= max shard bound holds). -inf when nothing was left out.
+/// Only `searcher`'s SpaceIndex is used; it must index `space`.
 ///
-/// `stats_out`, when non-null, receives the final forward search's
-/// stats (cumulative examined/sorted counters across deepening
-/// rounds).
+/// `bound_out` receives max(best dropped score, threshold at the stop),
+/// or the best dropped score when the walk examined every pair: a
+/// sound upper bound on every unreturned pair's reciprocal score, never
+/// above the n-th returned score (so the shard merger's completeness
+/// certificate kth >= max shard bound holds). -inf when nothing was
+/// left out.
+///
+/// `stats_out`, when non-null, receives the walk's counters, depth and
+/// that same bound.
 std::vector<Recommendation> ReciprocalSearch(
     const GemModel& model, const TaSearch& searcher,
     const TransformedSpace& space, ebsn::UserId user, size_t n,

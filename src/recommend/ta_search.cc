@@ -234,6 +234,8 @@ void TaSearch::SearchInto(const std::vector<float>& query, size_t n,
   // never fills the heap beyond what exists, so the second term stays
   // inactive exactly when nothing was evicted.)
   local_stats.unreturned_bound = stop_bound;
+  local_stats.ta_depth = std::min(a_group + 1, event_order.size()) +
+                         std::min(b_group + 1, partner_order.size());
   if (heap.full()) {
     local_stats.unreturned_bound =
         std::max(local_stats.unreturned_bound, heap.Threshold());

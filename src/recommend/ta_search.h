@@ -26,6 +26,11 @@ struct SearchStats {
   size_t points_examined = 0;
   /// Total sorted-list positions consumed.
   size_t sorted_accesses = 0;
+  /// Query-time list depth: A (event) groups plus B (partner) groups
+  /// whose position in their descending list the walk read. Either
+  /// list past ListOrder::kPrefix means the walk left the streaming
+  /// prefix (recommend/list_order.h).
+  size_t ta_depth = 0;
   /// points_examined / num_points.
   double examined_fraction = 0.0;
   /// Sound upper bound on the score of every candidate pair NOT in the

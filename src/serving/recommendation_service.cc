@@ -69,6 +69,14 @@ RecommendationService::RecommendationService(const ServiceOptions& options)
       "gemrec_service_rerank_us",
       "Microseconds one batch spent re-scoring survivors in exact "
       "fp32. Batched retrieval only.");
+  points_examined_ = registry_->GetHistogram(
+      "gemrec_service_points_examined",
+      "Candidate pairs one TA search scored (partner and reciprocal "
+      "cache misses).");
+  ta_depth_ = registry_->GetHistogram(
+      "gemrec_service_ta_depth",
+      "Event plus partner groups one TA search read from its "
+      "query-time lists (partner and reciprocal cache misses).");
 
   options_.num_workers = std::max(1u, options_.num_workers);
   options_.max_batch = std::max<size_t>(1, options_.max_batch);
@@ -254,6 +262,12 @@ void RecommendationService::WorkerLoop() {
   }
 }
 
+void RecommendationService::RecordRetrievalCost(
+    const recommend::SearchStats& stats) {
+  points_examined_->Record(stats.points_examined);
+  ta_depth_->Record(stats.ta_depth);
+}
+
 void RecommendationService::CompleteMiss(
     PendingRequest* pending, QueryResponse response,
     const std::vector<recommend::SearchHit>& hits, uint64_t epoch) {
@@ -277,11 +291,9 @@ void RecommendationService::CompleteMiss(
 /// Group and reciprocal queries, identical in both retrieval modes:
 /// group scoring has no sorted-list structure to prune with (the
 /// aggregate depends on the whole member set), so it scans the shard's
-/// event slice exhaustively; reciprocal refinement runs on the exact
-/// TA engine because its certificate compares reciprocal scores
-/// against the forward bound in the engine's own A+B score domain —
-/// the quantized path's flat re-rank domain differs by float rounding,
-/// which would make the strict-inequality stopping rule unsound.
+/// event slice exhaustively; reciprocal queries run their own
+/// single-pass TA over the snapshot's SpaceIndex in fp32, so answers
+/// are mode-independent bit for bit.
 void RecommendationService::ServeSpecialKind(PendingRequest* pending,
                                              const ModelSnapshot& snapshot,
                                              WorkerState* state) {
@@ -332,6 +344,7 @@ void RecommendationService::ServeSpecialKind(PendingRequest* pending,
     response.items = recommend::ReciprocalSearch(
         snapshot.model(), snapshot.searcher(), snapshot.space(),
         request.user, request.n, &state->recip, &bound, &response.stats);
+    RecordRetrievalCost(response.stats);
   }
   ta_search_us_->Record(static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -388,6 +401,7 @@ void RecommendationService::ServeBatch(std::vector<PendingRequest>* batch,
                                    /*exclude_partner=*/request.user,
                                    &state->hits, &response.stats,
                                    &state->scratch);
+    RecordRetrievalCost(response.stats);
     ta_search_us_->Record(static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - search_start)
@@ -466,6 +480,7 @@ void RecommendationService::ServeBatchQuantized(
   for (size_t m = 0; m < misses; ++m) {
     PendingRequest& pending = (*batch)[state->miss_index[m]];
     ta_search_us_->Record(per_miss_us);
+    RecordRetrievalCost(state->miss_stats[m]);
     QueryResponse response;
     response.epoch = epoch;
     response.stats = state->miss_stats[m];

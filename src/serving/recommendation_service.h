@@ -202,13 +202,15 @@ class RecommendationService : public QueryBackend {
   void ServeBatchQuantized(std::vector<PendingRequest>* batch,
                            const ModelSnapshot& snapshot,
                            WorkerState* state);
+  /// Retrieval-cost histograms of one cache miss.
+  void RecordRetrievalCost(const recommend::SearchStats& stats);
   void CompleteMiss(PendingRequest* pending, QueryResponse response,
                     const std::vector<recommend::SearchHit>& hits,
                     uint64_t epoch);
   /// Group/reciprocal path, shared by the exact and quantized batch
-  /// modes (both serve these kinds identically — group scoring is an
-  /// exhaustive slice scan, reciprocal refinement pins to the exact TA
-  /// engine — so answers are mode-independent bit-for-bit).
+  /// modes: group scoring is an exhaustive slice scan and reciprocal
+  /// queries run their own fp32 single-pass TA, so answers are
+  /// mode-independent bit for bit.
   void ServeSpecialKind(PendingRequest* pending,
                         const ModelSnapshot& snapshot, WorkerState* state);
   obs::Counter* KindCounter(recommend::QueryKind kind) {
@@ -254,6 +256,8 @@ class RecommendationService : public QueryBackend {
   obs::Histogram* ta_search_us_;
   obs::Histogram* quantize_scan_us_;
   obs::Histogram* rerank_us_;
+  obs::Histogram* points_examined_;
+  obs::Histogram* ta_depth_;
 
   std::vector<std::thread> workers_;
 };

@@ -1,11 +1,12 @@
 // Query-kind layer unit + differential tests: name/parse round-trips,
 // the bitwise-equality contracts between the model-level score
 // functions and the TA engine's score assembly, the exhaustive group /
-// reciprocal oracles' ordering and bound semantics, and the certified
+// reciprocal oracles' ordering and bound semantics, and the single-pass
 // ReciprocalSearch against its brute-force oracle over many seeded
 // spaces.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/vec_math.h"
 #include "recommend/candidate_index.h"
 #include "recommend/query_kinds.h"
 #include "recommend/space_transform.h"
@@ -94,26 +96,30 @@ TEST(PairwiseScoreTest, BitwiseEqualToTaAssembly) {
   }
 }
 
-// DirectedScore must equal q·p over the transformed space for the
-// query (u, u, 0) bitwise — ReciprocalSearch's deepening loop depends
-// on it.
-TEST(DirectedScoreTest, BitwiseEqualToZeroedCQuery) {
+// ReciprocalSearch scores a pair as min(A + B, C + B) from the
+// model's rows (A = u·x, B = u·u') and the space's stored C = u'·x.
+// That must equal ReciprocalScore bitwise, or the served answers would
+// drift from the oracle at ties.
+TEST(ReciprocalScoreTest, MinOfComponentSumsIsBitwiseReciprocalScore) {
   auto store = RandomStore(10, 9, 8, 31);
   GemModel model(store.get(), "GEM");
   auto pairs = BuildCandidatePairs(model, AllEvents(9), 10, /*top_k=*/0);
   TransformedSpace space(model, std::move(pairs));
-  TaSearch ta(&space);
+  const uint32_t k = model.dim();
 
-  std::vector<float> q;
-  for (ebsn::UserId u = 0; u < 3; ++u) {
-    ReciprocalQueryVector(model, u, space.point_dim(), &q);
-    const auto hits = ta.Search(q, space.num_points(), u);
-    ASSERT_FALSE(hits.empty());
-    for (const SearchHit& hit : hits) {
-      EXPECT_EQ(DirectedScore(model, u, hit.pair.partner, hit.pair.event),
-                hit.score)
-          << "u=" << u << " event=" << hit.pair.event
-          << " partner=" << hit.pair.partner;
+  for (ebsn::UserId u = 0; u < 10; ++u) {
+    for (size_t i = 0; i < space.num_points(); ++i) {
+      const CandidatePair& pair = space.pair(i);
+      const float a = Dot(model.UserVec(u), model.EventVec(pair.event), k);
+      const float b =
+          Dot(model.UserVec(u), model.UserVec(pair.partner), k);
+      const float c = space.Point(i)[2 * k];
+      const float r = std::min(a + b, c + b);
+      const float oracle =
+          ReciprocalScore(model, u, pair.partner, pair.event);
+      EXPECT_EQ(std::bit_cast<uint32_t>(r), std::bit_cast<uint32_t>(oracle))
+          << "u=" << u << " event=" << pair.event
+          << " partner=" << pair.partner;
     }
   }
 }
@@ -234,7 +240,9 @@ TEST(ReciprocalTopPairsTest, ExcludesSelfAndRanksByMin) {
     EXPECT_NE(top[i].partner, u);
     EXPECT_EQ(top[i].score,
               ReciprocalScore(model, u, top[i].partner, top[i].event));
-    if (i > 0) EXPECT_FALSE(RecommendationOrder(top[i], top[i - 1]));
+    if (i > 0) {
+      EXPECT_FALSE(RecommendationOrder(top[i], top[i - 1]));
+    }
   }
   EXPECT_LE(bound, top.back().score);
 }
@@ -248,9 +256,9 @@ struct RecipTrial {
   size_t n = 0;
 };
 
-// Certified iterative-deepening search vs. the exhaustive oracle over
-// many seeded spaces, including n larger than the space and spaces
-// small enough that the first round already exhausts.
+// Single-pass reciprocal TA vs. the exhaustive oracle over many seeded
+// spaces, including n larger than the space and spaces small enough
+// that the walk runs to exhaustion.
 class ReciprocalDifferentialTest
     : public ::testing::TestWithParam<uint64_t> {};
 
@@ -295,7 +303,9 @@ TEST_P(ReciprocalDifferentialTest, MatchesBruteForceOracle) {
     // Bound soundness: every unreturned pair scores <= the reported
     // bound, and the bound never exceeds the n-th returned score (the
     // shard merger's completeness certificate needs both).
-    if (!served.empty()) EXPECT_LE(search_bound, served.back().score);
+    if (!served.empty()) {
+      EXPECT_LE(search_bound, served.back().score);
+    }
     std::vector<bool> kept(space.num_points(), false);
     for (size_t i = 0; i < space.num_points(); ++i) {
       const CandidatePair& pair = space.pair(i);

@@ -269,6 +269,36 @@ TEST(QueryKindCacheTest, CachedSpecialKindReplaysBound) {
       << "cache hit lost the certified bound";
 }
 
+// Every partner and reciprocal cache miss records its retrieval cost;
+// group scans and cache hits record none. Both serve modes.
+TEST(RetrievalCostMetricsTest, RecordedPerPartnerAndReciprocalMiss) {
+  auto store = RandomStore(10, 8, 6, 61);
+  for (const bool batch : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "use_batch_ta=" << batch);
+    ServiceOptions options;
+    options.use_batch_ta = batch;
+    RecommendationService service(options);
+    service.Publish(MakeSnapshot(*store, 10, 8));
+    for (const recommend::QueryKind kind :
+         {recommend::QueryKind::kPartner, recommend::QueryKind::kReciprocal,
+          recommend::QueryKind::kGroup}) {
+      QueryRequest request;
+      request.user = 2;
+      request.n = 5;
+      request.kind = kind;
+      if (kind == recommend::QueryKind::kGroup) request.group = {3};
+      ASSERT_FALSE(service.Query(request).items.empty());
+      ASSERT_TRUE(service.Query(request).cache_hit);
+    }
+    for (const char* name :
+         {"gemrec_service_points_examined", "gemrec_service_ta_depth"}) {
+      const auto data = service.metrics()->GetHistogram(name)->Snapshot();
+      EXPECT_EQ(data.count, 2u) << name;
+      EXPECT_GT(data.sum, 0u) << name;
+    }
+  }
+}
+
 TEST(QueryKindBadRequestTest, MalformedRequestsAreTyped) {
   auto store = RandomStore(10, 8, 6, 58);
   RecommendationService service(ServiceOptions{});

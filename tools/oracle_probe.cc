@@ -12,8 +12,6 @@ class OracleModel : public recommend::RecModel {
   float ScoreUserEvent(ebsn::UserId u, ebsn::EventId x) const override {
     const auto& p = city_->data.user_profiles[u];
     const auto& ev = city_->dataset().event(x);
-    const auto& venue = city_->dataset().venue(ev.venue).location;
-    // geo: use home cluster center approx == venue of home? use profile home cluster center unknown here; approximate with exp(-dist(user home venue?)...)
     double interest = p.topic_interest[ev.topic];
     double hour = ebsn::HourOfDay(ev.start_time);
     int d = std::abs((int)hour - (int)p.preferred_hour);

@@ -10,7 +10,7 @@ int main() {
   const auto& users = t->store().MatrixOf(graph::NodeType::kUser);
   const auto& events = t->store().MatrixOf(graph::NodeType::kEvent);
   auto stats = [](const Matrix& m, const char* name) {
-    size_t zeros = 0; double total = 0, max = 0;
+    size_t zeros = 0; double total = 0;
     std::vector<float> row_max;
     for (size_t r = 0; r < m.rows(); ++r) {
       float rmax = 0;
